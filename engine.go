@@ -82,13 +82,15 @@ type EngineConfig struct {
 	Shards int
 	// RebuildWorkers starts that many background goroutines that
 	// re-analyze functions enqueued by MarkDirty (or Edit) before the
-	// next query needs them. 0 disables the pool: stale analyses are
-	// rebuilt synchronously on the query path, exactly as before. An
+	// next query needs them and, at lower priority, write snapshot saves
+	// back to the SnapshotStore. 0 disables the pool: stale analyses are
+	// rebuilt synchronously on the query path and saves run inline. An
 	// engine with workers must be Closed to stop them.
 	RebuildWorkers int
 	// SnapshotStore adds a persistent disk tier under the LRU (see
 	// snapshot.go): analysis builds first try a fingerprint-matched
-	// snapshot load, and full precomputes are written back for future
+	// snapshot load — so Precompute's workers load a warm store in
+	// parallel — and full precomputes are written back for future
 	// processes. Nil disables the tier. Only the checker backend (the
 	// default) uses it; its precomputation is the CFG-only one that stays
 	// valid across instruction edits and hence across runs. The store's
@@ -186,19 +188,9 @@ type handle struct {
 	// single in-flight builder (building flag) touches them.
 	verified   bool
 	verifiedAt backend.Epochs
-	queued bool // sitting in the rebuild pool's queue
-	// prefetchQueued dedupes the warm-start prefetch queue exactly as
-	// queued dedupes the rebuild queue (see Engine.Prefetch).
-	prefetchQueued bool
-	// snapProbed/snapProbedAt record that a prefetch consulted the
-	// snapshot tier for this function's IR as of snapProbedAt and found no
-	// usable snapshot, so the immediately following build skips the
-	// redundant store probe. Like verified/verifiedAt, only the single
-	// in-flight builder touches them.
-	snapProbed   bool
-	snapProbedAt backend.Epochs
-	gen          int // bumped by invalidation and eviction; in-flight builds from older gens are discarded
-	elem         *list.Element
+	queued     bool // sitting in the rebuild pool's queue
+	gen        int  // bumped by invalidation and eviction; in-flight builds from older gens are discarded
+	elem       *list.Element
 }
 
 // Engine analyzes a whole program: a set of functions registered with Add
@@ -340,18 +332,13 @@ func (e *Engine) Precompute() error {
 // see LivenessContext), and the call returns ctx.Err() promptly. The
 // engine remains fully usable afterwards: functions that were analyzed
 // stay resident, the rest build on demand.
+//
+// The worker fan-out is also the engine's warm start: with a snapshot
+// store every build probes the store once through analyze, so a warm
+// store is loaded in parallel across the workers and only the functions
+// that miss pay the full precompute.
 func (e *Engine) PrecomputeContext(ctx context.Context) error {
 	funcs := e.Funcs()
-
-	// With a rebuild pool and a snapshot tier, fan warm-start snapshot
-	// loads across the pool's workers first: functions whose snapshots
-	// validate are published before (or while) the precompute workers
-	// below reach them, and a worker arriving mid-prefetch shares the
-	// in-flight load through the usual single-flight machinery instead of
-	// duplicating it. Functions that miss are built below as always,
-	// skipping the store probe the prefetch already paid.
-	e.prefetchFuncs(funcs)
-
 	workers := e.config.workers()
 	if workers > len(funcs) {
 		workers = len(funcs)
@@ -695,9 +682,9 @@ func (e *Engine) Shards() int {
 // total is invariant under the shard count.
 //
 // Rebuilds always equals Metrics().Rebuilds — it is the single-field
-// accessor kept (like BackgroundRebuilds, QueuedRebuilds and
-// SnapshotStats) for callers that want one number without the full
-// consolidated snapshot; Metrics() delegates here.
+// accessor kept (like BackgroundRebuilds and SnapshotStats) for callers
+// that want one number without the full consolidated snapshot; Metrics()
+// delegates here.
 func (e *Engine) Rebuilds() int {
 	total := 0
 	for _, s := range e.shards {
@@ -707,10 +694,6 @@ func (e *Engine) Rebuilds() int {
 	}
 	return total
 }
-
-// Queries reports how many individual liveness questions the engine has
-// answered (batch entries plus Oracle queries) — Metrics().Queries.
-func (e *Engine) Queries() int64 { return e.met.queries.Load() }
 
 // BackendStats summarizes the resident analyses served by one backend.
 type BackendStats struct {
@@ -767,34 +750,21 @@ const batchParallelThreshold = 256
 // lands between the analysis lookup and the batch execution, so it never
 // answers from an analysis an edit has invalidated.
 func (e *Engine) BatchIsLiveIn(f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(context.Background(), f, queries, (*Querier).IsLiveIn)
-}
-
-// BatchIsLiveInContext is BatchIsLiveIn bounded by a context: the
-// analysis fetch (and any rebuild it triggers) honors cancellation per
-// LivenessContext; the query execution itself is not interrupted once an
-// analysis is held.
-func (e *Engine) BatchIsLiveInContext(ctx context.Context, f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(ctx, f, queries, (*Querier).IsLiveIn)
+	return e.batch(f, queries, (*Querier).IsLiveIn)
 }
 
 // BatchIsLiveOut is BatchIsLiveIn for live-out queries.
 func (e *Engine) BatchIsLiveOut(f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(context.Background(), f, queries, (*Querier).IsLiveOut)
+	return e.batch(f, queries, (*Querier).IsLiveOut)
 }
 
-// BatchIsLiveOutContext is BatchIsLiveInContext for live-out queries.
-func (e *Engine) BatchIsLiveOutContext(ctx context.Context, f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(ctx, f, queries, (*Querier).IsLiveOut)
-}
-
-func (e *Engine) batch(ctx context.Context, f *ir.Func, queries []Query, ask func(*Querier, *ir.Value, *ir.Block) bool) ([]bool, error) {
+func (e *Engine) batch(f *ir.Func, queries []Query, ask func(*Querier, *ir.Value, *ir.Block) bool) ([]bool, error) {
 	h := e.lookup(f)
 	if h == nil {
 		return nil, errUnknownFunc(f.Name)
 	}
 	for {
-		live, err := e.liveness(ctx, h)
+		live, err := e.liveness(context.Background(), h)
 		if err != nil {
 			return nil, err
 		}
@@ -884,19 +854,11 @@ type Oracle struct {
 // Oracle returns an auto-refreshing query handle for a registered
 // function, analyzing it first if needed.
 func (e *Engine) Oracle(f *ir.Func) (*Oracle, error) {
-	return e.OracleContext(context.Background(), f)
-}
-
-// OracleContext is Oracle bounded by a context: the initial analysis
-// honors cancellation per LivenessContext. The returned Oracle is not
-// bound to ctx — its query methods re-fetch with a background context,
-// since they have no error channel to report cancellation through.
-func (e *Engine) OracleContext(ctx context.Context, f *ir.Func) (*Oracle, error) {
 	h := e.lookup(f)
 	if h == nil {
 		return nil, errUnknownFunc(f.Name)
 	}
-	live, err := e.liveness(ctx, h)
+	live, err := e.liveness(context.Background(), h)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func TestEngineCloseDrainsWorkers(t *testing.T) {
 	waitFor(t, "worker goroutines to exit", func() bool {
 		return runtime.NumGoroutine() <= before
 	})
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after Close, want 0", got)
 	}
 	// Still usable: queries rebuild on demand after Close.
@@ -113,7 +113,7 @@ func TestEngineCloseDrainsWorkers(t *testing.T) {
 	// MarkDirty after Close is a safe no-op.
 	splitSomeEdge(t, funcs[0])
 	e.MarkDirty(funcs[0])
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after post-Close MarkDirty, want 0", got)
 	}
 }
@@ -146,7 +146,7 @@ func TestEngineMarkDirtyRebuildsAhead(t *testing.T) {
 	e.MarkDirty(ir.NewFunc("stranger"))
 	// A fresh function is a safe no-op (nothing stale to do).
 	e.MarkDirty(funcs[1])
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after no-op MarkDirtys, want 0", got)
 	}
 }
@@ -214,7 +214,7 @@ func TestEngineEvictedWhileQueuedNotResurrected(t *testing.T) {
 	// so the tail is f).
 	addSomeUse(t, f)
 	e.MarkDirty(f)
-	if got := e.QueuedRebuilds(); got != 1 {
+	if got := e.Metrics().QueuedRebuilds; got != 1 {
 		t.Fatalf("QueuedRebuilds = %d with the worker parked, want 1 (f)", got)
 	}
 	if _, err := e.Liveness(h2); err != nil {
@@ -226,7 +226,7 @@ func TestEngineEvictedWhileQueuedNotResurrected(t *testing.T) {
 	release()
 	hf := e.lookup(f)
 	waitFor(t, "worker to drain the queue", func() bool {
-		if e.QueuedRebuilds() != 0 {
+		if e.Metrics().QueuedRebuilds != 0 {
 			return false
 		}
 		hf.shard.mu.Lock()
@@ -244,7 +244,7 @@ func TestEngineEvictedWhileQueuedNotResurrected(t *testing.T) {
 	}
 	// MarkDirty on the evicted function is a safe no-op.
 	e.MarkDirty(f)
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after MarkDirty on an evicted function, want 0", got)
 	}
 	// And f still answers correctly on demand.

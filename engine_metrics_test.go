@@ -125,8 +125,8 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 	if m.BackgroundRebuilds != e.BackgroundRebuilds() || m.BackgroundRebuilds != 1 {
 		t.Fatalf("BackgroundRebuilds = %d (accessor %d), want 1", m.BackgroundRebuilds, e.BackgroundRebuilds())
 	}
-	if m.QueuedRebuilds != e.QueuedRebuilds() || m.QueuedRebuilds != 0 {
-		t.Fatalf("QueuedRebuilds = %d (accessor %d), want 0", m.QueuedRebuilds, e.QueuedRebuilds())
+	if m.QueuedRebuilds != 0 {
+		t.Fatalf("QueuedRebuilds = %d, want 0", m.QueuedRebuilds)
 	}
 	if m.RebuildEnqueues != 1 || m.RebuildDiscards != 0 {
 		t.Fatalf("RebuildEnqueues/Discards = %d/%d, want 1/0", m.RebuildEnqueues, m.RebuildDiscards)
@@ -148,8 +148,8 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 		t.Fatalf("Batches/BatchNs.Count = %d/%d, want 6/6", m.Batches, m.BatchNs.Count)
 	}
 	// 6×8 batch entries + 6×2 oracle queries.
-	if m.Queries != 60 || m.Queries != e.Queries() {
-		t.Fatalf("Queries = %d (accessor %d), want 60", m.Queries, e.Queries())
+	if m.Queries != 60 {
+		t.Fatalf("Queries = %d, want 60", m.Queries)
 	}
 	// Every build consulted the (checker-backed) snapshot tier, so each
 	// observed a load latency.
@@ -350,14 +350,19 @@ func TestEngineMetricsScrapeRace(t *testing.T) {
 	defer e.Shutdown()
 
 	const iters = 60
+	// Build every querier's batch before the editors start: walking the IR
+	// from a querier goroutine would race the Edit goroutines.
+	batches := make([][]Query, len(funcs))
+	for i, f := range funcs {
+		batches[i] = allQueries(f)[:16]
+	}
 	var wg sync.WaitGroup
 	// Queriers: batch traffic on every function.
 	for i := range funcs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f := funcs[i]
-			qs := allQueries(f)[:16]
+			f, qs := funcs[i], batches[i]
 			for n := 0; n < iters; n++ {
 				if _, err := e.BatchIsLiveIn(f, qs); err != nil {
 					t.Errorf("%s: %v", f.Name, err)

@@ -7,12 +7,17 @@ package fastliveness
 // a wrong answer.
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"fastliveness/internal/faults"
 	"fastliveness/internal/ir"
+	"fastliveness/internal/snapshot"
 )
 
 // snapshotDir opens a store over a fresh temp directory.
@@ -25,59 +30,218 @@ func snapshotDir(t *testing.T) *SnapshotStore {
 	return ss
 }
 
-// coldWarm runs the same deterministic corpus through two engine
-// lifetimes sharing one store and returns both engines' stats plus the
-// answer fingerprints (regenerating the corpus for the warm run, the way a
-// second process re-reads the same program from source).
+// warmStore precomputes funcs once through a poolless engine so the
+// directory behind ss holds a validated snapshot per shape.
+func warmStore(t *testing.T, ss *SnapshotStore, funcs []*ir.Func) {
+	t.Helper()
+	e, err := AnalyzeProgram(funcs, EngineConfig{Parallelism: 1, SnapshotStore: ss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if ss.Len() == 0 {
+		t.Fatal("warm-up run left no snapshots behind")
+	}
+}
+
+// The same deterministic corpus runs through two engine lifetimes sharing
+// one store (regenerating the corpus for the warm run, the way a second
+// process re-reads the same program from source), with and without a
+// rebuild pool: the cold run consults the store once per build, the warm
+// run loads every function across Precompute's workers without a single
+// precompute, and both answer exactly like a storeless engine.
 func TestEngineSnapshotWarmStart(t *testing.T) {
 	const n = 18
+	storeless, err := AnalyzeProgram(engineCorpus(t, n, 321), EngineConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, storeless, storeless.Funcs())
+
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("rebuild-workers=%d", workers), func(t *testing.T) {
+			ss := snapshotDir(t)
+			config := EngineConfig{Parallelism: 2, RebuildWorkers: workers, SnapshotStore: ss}
+
+			cold := engineCorpus(t, n, 321)
+			e1, err := AnalyzeProgram(cold, config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp1 := fingerprint(t, e1, cold)
+			e1.Close() // drains pending snapshot write-backs
+			s1 := e1.SnapshotStats()
+			if s1.Hits+s1.Misses != n {
+				t.Fatalf("cold run consulted the store %d times, want %d", s1.Hits+s1.Misses, n)
+			}
+			if s1.Computes != s1.Misses {
+				t.Fatalf("cold run: %d computes for %d misses; every miss (and only misses) must compute",
+					s1.Computes, s1.Misses)
+			}
+			if s1.Stores == 0 || ss.Len() == 0 {
+				t.Fatalf("cold run left no snapshots behind (stores=%d, files=%d)", s1.Stores, ss.Len())
+			}
+			if s1.StoredBytes != ss.SizeBytes() {
+				t.Fatalf("StoredBytes %d, directory holds %d", s1.StoredBytes, ss.SizeBytes())
+			}
+
+			warm := engineCorpus(t, n, 321) // same shapes, fresh IR: a new process
+			e2, err := AnalyzeProgram(warm, config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp2 := fingerprint(t, e2, warm)
+			e2.Close()
+			s2 := e2.SnapshotStats()
+			if s2.Misses != 0 || s2.Hits != n {
+				t.Fatalf("warm run: %d hits, %d misses; want %d/0", s2.Hits, s2.Misses, n)
+			}
+			if s2.Computes != 0 {
+				t.Fatalf("warm run ran %d precomputes on an unchanged corpus, want 0", s2.Computes)
+			}
+			if e2.Rebuilds() != 0 || e2.BackgroundRebuilds() != 0 {
+				t.Fatalf("warm run: %d query-path + %d background rebuilds, want 0/0",
+					e2.Rebuilds(), e2.BackgroundRebuilds())
+			}
+			if s2.LoadedBytes == 0 {
+				t.Fatal("warm run loaded 0 bytes")
+			}
+			if fp1 != want || fp2 != want {
+				t.Fatal("snapshot-tier answers differ from a storeless engine's")
+			}
+		})
+	}
+}
+
+// A snapshot load that Invalidate supersedes mid-load must be discarded by
+// generation — handed to the caller that started it, never cached — and
+// the next request still answers correctly.
+func TestEngineSnapshotLoadSupersededByInvalidate(t *testing.T) {
 	ss := snapshotDir(t)
+	warmStore(t, ss, engineCorpus(t, 1, 9003))
+	f := engineCorpus(t, 1, 9003)[0]
 
-	cold := engineCorpus(t, n, 321)
-	e1, err := AnalyzeProgram(cold, EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss})
+	in := faults.New(41)
+	in.Add(faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionDelay, Delay: 30 * time.Millisecond})
+	ss.store.SetFaultInjector(in)
+	defer ss.store.SetFaultInjector(nil)
+
+	e := NewEngine(EngineConfig{Parallelism: 1, RebuildWorkers: 1, SnapshotStore: ss})
+	defer e.Close()
+	e.Add(f)
+	h := e.lookup(f)
+	building := func() bool {
+		h.shard.mu.Lock()
+		defer h.shard.mu.Unlock()
+		return h.building
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Precompute() }()
+	waitFor(t, "snapshot load to start", building)
+	e.Invalidate(f) // bumps the generation while the load sleeps in the injector
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if r := e.Resident(); r != 0 {
+		t.Fatal("superseded snapshot load was cached")
+	}
+	if s := e.SnapshotStats(); s.Hits != 1 || s.Computes != 0 {
+		t.Fatalf("superseded load: %+v, want 1 hit / 0 computes", s)
+	}
+	assertMatchesFresh(t, e, f)
+}
+
+// An open circuit breaker makes every build skip the store and recompute
+// from IR — counted in BreakerSkips — and answers stay correct.
+func TestEngineSnapshotBreakerOpenRecomputes(t *testing.T) {
+	const n = 5
+	dir := t.TempDir()
+	ss, err := OpenSnapshotStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1 := fingerprint(t, e1, cold)
-	e1.Close() // drains pending snapshot write-backs
-	s1 := e1.SnapshotStats()
-	if s1.Hits+s1.Misses != n {
-		t.Fatalf("cold run consulted the store %d times, want %d", s1.Hits+s1.Misses, n)
-	}
-	if s1.Computes != s1.Misses {
-		t.Fatalf("cold run: %d computes for %d misses; every miss (and only misses) must compute",
-			s1.Computes, s1.Misses)
-	}
-	if s1.Stores == 0 || ss.Len() == 0 {
-		t.Fatalf("cold run left no snapshots behind (stores=%d, files=%d)", s1.Stores, ss.Len())
-	}
-	if s1.StoredBytes != ss.SizeBytes() {
-		t.Fatalf("StoredBytes %d, directory holds %d", s1.StoredBytes, ss.SizeBytes())
-	}
+	warmStore(t, ss, engineCorpus(t, n, 9004))
 
-	warm := engineCorpus(t, n, 321) // same shapes, fresh IR: a new process
-	e2, err := AnalyzeProgram(warm, EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss})
+	// Fresh handle on the same directory with a one-failure breaker and a
+	// single injected load error: the first build opens it.
+	ss2, err := OpenSnapshotStoreOptions(dir, SnapshotStoreOptions{
+		BreakerFailures: 1,
+		BreakerCooldown: time.Hour, // no half-open probes during this test
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp2 := fingerprint(t, e2, warm)
-	e2.Close()
-	s2 := e2.SnapshotStats()
-	if s2.Misses != 0 || s2.Hits != n {
-		t.Fatalf("warm run: %d hits, %d misses; want %d/0", s2.Hits, s2.Misses, n)
+	in := faults.New(42)
+	in.Add(faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionError, Times: 1})
+	ss2.store.SetFaultInjector(in)
+
+	funcs := engineCorpus(t, n, 9004)
+	e := NewEngine(EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss2})
+	defer e.Close()
+	e.Add(funcs...)
+	if _, err := e.Liveness(funcs[0]); err != nil {
+		t.Fatalf("injected load error must degrade the build, not fail it: %v", err)
 	}
-	if s2.Computes != 0 {
-		t.Fatalf("warm run ran %d precomputes on an unchanged corpus, want 0", s2.Computes)
+	if got := ss2.BreakerState(); got != "open" {
+		t.Fatalf("breaker state %q after injected failure, want open", got)
 	}
-	if e2.Rebuilds() != 0 || e2.BackgroundRebuilds() != 0 {
-		t.Fatalf("warm run: %d query-path + %d background rebuilds, want 0/0",
-			e2.Rebuilds(), e2.BackgroundRebuilds())
+	if err := e.Precompute(); err != nil {
+		t.Fatalf("open breaker must degrade builds, not fail them: %v", err)
 	}
-	if s2.LoadedBytes == 0 {
-		t.Fatal("warm run loaded 0 bytes")
+	for _, f := range funcs {
+		assertMatchesFresh(t, e, f)
 	}
-	if fp1 != fp2 {
-		t.Fatal("snapshot-loaded answers differ from freshly computed answers")
+	s := e.SnapshotStats()
+	if s.Hits != 0 || s.Misses != n || s.Computes != n {
+		t.Fatalf("breaker-open run: %+v, want 0 hits / %d misses / %d computes", s, n, n)
+	}
+	if s.BreakerSkips != n-1 {
+		t.Fatalf("%d breaker skips, want %d (every build after the one that opened it)", s.BreakerSkips, n-1)
+	}
+}
+
+// Precompute over a warm store racing concurrent edits, invalidations,
+// queries and a Shutdown — run under -race in CI. Every answer handed out
+// while the race runs comes from the engine's usual staleness machinery,
+// so the property under test is freedom from data races and from
+// resurrecting dead results.
+func TestEngineSnapshotPrecomputeRacesEditAndShutdown(t *testing.T) {
+	ss := snapshotDir(t)
+	warmStore(t, ss, engineCorpus(t, 8, 9005))
+	funcs := engineCorpus(t, 8, 9005)
+	e := NewEngine(EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss})
+	e.Add(funcs...)
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			// ErrEngineClosed is expected once the Shutdown lands.
+			_ = e.Precompute()
+			e.Invalidate(funcs[i%len(funcs)])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 12; i++ {
+			f := funcs[i%len(funcs)]
+			e.Edit(f, func() { addSomeUse(t, f) })
+			// Racing the Shutdown goroutine: ErrEngineClosed is expected
+			// once it lands, and any answer handed out before that is
+			// covered by the staleness machinery.
+			_, _ = e.Liveness(f)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		time.Sleep(5 * time.Millisecond)
+		e.Shutdown()
+	}()
+	wg.Wait()
+	e.Shutdown() // idempotent
+	if err := e.Precompute(); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("Precompute after Shutdown: %v, want ErrEngineClosed", err)
 	}
 }
 
@@ -379,26 +543,38 @@ func TestEngineSnapshotConcurrentEditQuery(t *testing.T) {
 	}
 	defer e.Close()
 
+	// Pick each function's probe value and blocks before the edits start:
+	// walking the IR from a query goroutine would race the Edit goroutine,
+	// which only the engine's own locks exclude. Edits only add values and
+	// blocks, so the probes stay valid throughout.
+	type probe struct {
+		v      *ir.Value
+		blocks []*ir.Block
+	}
+	probes := make([]probe, len(funcs))
+	for i, f := range funcs {
+		f.Values(func(x *ir.Value) {
+			if probes[i].v == nil && x.Op.HasResult() {
+				probes[i].v = x
+			}
+		})
+		probes[i].blocks = append([]*ir.Block(nil), f.Blocks[:min(4, len(f.Blocks))]...)
+	}
+
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				f := funcs[(g+iter)%len(funcs)]
-				o, err := e.Oracle(f)
+				i := (g + iter) % len(funcs)
+				o, err := e.Oracle(funcs[i])
 				if err != nil {
 					continue // racing a CFG edit that momentarily broke analysis
 				}
-				var v *ir.Value
-				f.Values(func(x *ir.Value) {
-					if v == nil && x.Op.HasResult() {
-						v = x
-					}
-				})
-				for _, b := range f.Blocks[:min(4, len(f.Blocks))] {
-					o.IsLiveIn(v, b)
-					o.IsLiveOut(v, b)
+				for _, b := range probes[i].blocks {
+					o.IsLiveIn(probes[i].v, b)
+					o.IsLiveOut(probes[i].v, b)
 				}
 			}
 		}(g)

@@ -19,8 +19,10 @@ import (
 // The warm-start benchmark: the same whole-program corpus analyzed through
 // an empty snapshot store (cold start — every function pays its full
 // precompute, then writes the snapshot back) and again through the
-// populated store (warm start — every function maps its precomputation
-// from disk, validates it, and re-derives only the linear parts). The
+// populated store (warm start — every function maps its snapshot from
+// disk, checksums the header and structural sections, and adopts the
+// CFG, DFS, dominator-tree and R/T arrays zero-copy, with no structural
+// re-derivation; the R/T arena scans are deferred). The
 // savings column is the fraction of per-function precompute time a warm
 // process start no longer pays, 1 - warm/cold; the storeless baseline
 // (compute only, no write-back) is reported alongside so the cold row's
@@ -47,7 +49,7 @@ type WarmStartRow struct {
 	Blocks         int     `json:"blocks"`
 	BaselineNs     int64   `json:"baseline_ns"` // no store: compute only
 	ColdNs         int64   `json:"cold_ns"`     // empty store: compute + write-back
-	WarmNs         int64   `json:"warm_ns"`     // populated store: load + re-derive
+	WarmNs         int64   `json:"warm_ns"`     // populated store: load + adopt
 	ColdPerFn      float64 `json:"cold_ns_per_func"`
 	WarmPerFn      float64 `json:"warm_ns_per_func"`
 	Savings        float64 `json:"savings"`             // 1 - warm/cold
@@ -89,8 +91,8 @@ func MeasureWarmStart(sizes []int, reps int) (*WarmStart, error) {
 			"structural section checksums verified; CFG/DFS/dom arrays and the dense R/T arenas adopted zero-copy " +
 			"from the mapping, arena scans deferred per the store's default policy; no structural re-derivation); " +
 			"savings = 1 - warm/cold, min over reps, Precompute timed alone, verification skipped on both sides, " +
-			"GC pinned during timing, parallelism 1 and rebuild workers 0 throughout (the prefetch pipeline is " +
-			"pool-backed and therefore idle here — timings are the serial per-function cost)",
+			"GC pinned during timing, parallelism 1 and rebuild workers 0 throughout (timings are the serial " +
+			"per-function cost)",
 	}
 	for _, n := range sizes {
 		row, err := warmStartRow(n, reps)

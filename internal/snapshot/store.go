@@ -26,10 +26,11 @@ const fileExt = ".flsnap"
 // effectively LRU, because Load touches the file it hits. Saves go through
 // a temp file plus atomic rename, so concurrent processes sharing a
 // directory never observe half-written snapshots; the checksum in the
-// format catches everything else. The mutex serializes Save/GC within one
-// process; cross-process races at worst re-save an identical file or GC a
-// file the other process re-creates — benign, because snapshots are pure
-// functions of their fingerprint.
+// format catches everything else. The mutex serializes GC passes within
+// one process; concurrent saves, in one process or several, at worst
+// re-save an identical file or GC a file another saver just wrote —
+// benign, because snapshots are pure functions of their fingerprint and a
+// lost file only costs a future recompute.
 //
 // Loads are mmap-backed where the platform allows (see mapFile): the
 // decoded Snapshot's word arenas alias the read-only mapping, so the
@@ -47,8 +48,8 @@ const fileExt = ".flsnap"
 // undefined (SIGBUS territory), exactly as with any mmap'd format.
 type Store struct {
 	dir      string
-	maxBytes int64 // <= 0 means unbounded
-	mu       sync.Mutex
+	maxBytes int64                // <= 0 means unbounded
+	mu       sync.Mutex           // guards cache and serializes GC passes
 	cache    map[uint64]*Snapshot // validated loads, alive for the store's lifetime
 
 	// injector is the store's fault seam (sites FaultSiteLoad and
@@ -225,7 +226,9 @@ func (st *Store) Load(fp uint64) (*Snapshot, error) {
 // Save encodes and writes s, keyed by its fingerprint, then enforces the
 // byte budget. Writing an already-present fingerprint replaces the file
 // with identical bytes — harmless, and what concurrent savers do to each
-// other.
+// other. The file write takes no lock: temp names are unique and the
+// rename is atomic, and holding st.mu across disk I/O would stall every
+// concurrent Load's cache check behind it. Only the GC pass is serialized.
 func (st *Store) Save(s *Snapshot) error {
 	if err := st.fire(FaultSiteSave); err != nil {
 		return err
@@ -234,8 +237,6 @@ func (st *Store) Save(s *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	final := st.path(s.FP)
 	tmp, err := os.CreateTemp(st.dir, "tmp-*"+fileExt+".partial")
 	if err != nil {
@@ -254,7 +255,9 @@ func (st *Store) Save(s *Snapshot) error {
 		os.Remove(tmp.Name())
 		return err
 	}
+	st.mu.Lock()
 	st.gcLocked(filepath.Base(final))
+	st.mu.Unlock()
 	return nil
 }
 

@@ -1,7 +1,7 @@
-// Consolidated engine observability: the one Metrics() snapshot that
-// supersedes the scattered accessor surface (Rebuilds, BackgroundRebuilds,
-// QueuedRebuilds, SnapshotStats — all now thin wrappers over it), and the
-// Prometheus text exporter behind the /metrics debug endpoint.
+// Consolidated engine observability: the one Metrics() snapshot behind
+// the remaining single-number accessors (Rebuilds, BackgroundRebuilds and
+// SnapshotStats, which Metrics() reads through), and the Prometheus text
+// exporter behind the /metrics debug endpoint.
 //
 // Shard invariance: like query answers, every field of EngineMetrics is
 // invariant under EngineConfig.Shards — sharding is a lock-contention
@@ -60,14 +60,6 @@ type engineMetrics struct {
 	// snapshotCounters, surfaced as SnapshotStats).
 	snapLoadNs telemetry.Histogram
 	snapSaveNs telemetry.Histogram
-	// Warm-start prefetch accounting (all zero without a rebuild pool and
-	// a snapshot tier): loads by outcome, plus prefetches dropped without
-	// publishing — dequeued to find the handle busy or resident,
-	// superseded mid-load, or still pending at Close.
-	prefetchHits     telemetry.Counter
-	prefetchMisses   telemetry.Counter
-	prefetchSkips    telemetry.Counter
-	prefetchDiscards telemetry.Counter
 }
 
 // EngineMetrics is one consistent-enough snapshot of everything the
@@ -110,17 +102,6 @@ type EngineMetrics struct {
 	// a panicking build (ErrQuarantined) and have not yet recovered.
 	Quarantined int
 
-	// Warm-start prefetch pipeline traffic (Engine.Prefetch): snapshot
-	// loads that hit (published ahead of demand unless superseded), loads
-	// that missed (left for the on-demand build, which skips the duplicate
-	// store probe), loads skipped on an open breaker, and prefetches
-	// discarded without publishing. All zero without a rebuild pool and a
-	// snapshot tier.
-	PrefetchHits         int64
-	PrefetchMisses       int64
-	PrefetchBreakerSkips int64
-	PrefetchDiscards     int64
-
 	// Snapshot is the disk tier's traffic (hits, misses, stores, computes,
 	// bytes, breaker skips) — SnapshotStats verbatim. BreakerState and
 	// BreakerTransitions describe the store's circuit breaker; both are
@@ -143,9 +124,8 @@ type EngineMetrics struct {
 }
 
 // Metrics returns a snapshot of every engine counter, gauge and latency
-// histogram. It is the consolidated successor of Rebuilds,
-// BackgroundRebuilds, QueuedRebuilds and SnapshotStats (all of which now
-// delegate here) plus the instruments this layer added. Safe to call
+// histogram: the values of Rebuilds, BackgroundRebuilds and SnapshotStats
+// plus the instruments only this snapshot exposes. Safe to call
 // concurrently with queries, edits and rebuilds; cost is a shard-mutex
 // sweep for the rebuild counters plus four histogram copies.
 func (e *Engine) Metrics() EngineMetrics {
@@ -161,11 +141,6 @@ func (e *Engine) Metrics() EngineMetrics {
 		RebuildEnqueues: e.met.rebuildEnqueues.Load(),
 		RebuildDiscards: e.met.rebuildDiscards.Load(),
 		Quarantined:     int(e.met.quarantined.Load()),
-
-		PrefetchHits:         e.met.prefetchHits.Load(),
-		PrefetchMisses:       e.met.prefetchMisses.Load(),
-		PrefetchBreakerSkips: e.met.prefetchSkips.Load(),
-		PrefetchDiscards:     e.met.prefetchDiscards.Load(),
 
 		Snapshot: e.SnapshotStats(),
 
@@ -243,10 +218,6 @@ func WriteEngineMetrics(w io.Writer, m EngineMetrics) {
 	c("snapshot_decoded_cache_misses_total", "store loads that touched a snapshot file", m.Snapshot.DecodedCacheMisses)
 	c("snapshot_section_scans_total", "per-section checksum scans run", m.Snapshot.SectionScans)
 	c("snapshot_section_skips_total", "per-section checksum scans avoided", m.Snapshot.SectionSkips)
-	c("prefetch_hits_total", "warm-start prefetch loads served by a validated snapshot", m.PrefetchHits)
-	c("prefetch_misses_total", "warm-start prefetch loads left for the on-demand build", m.PrefetchMisses)
-	c("prefetch_breaker_skips_total", "warm-start prefetch loads skipped on an open breaker", m.PrefetchBreakerSkips)
-	c("prefetch_discards_total", "warm-start prefetches discarded without publishing", m.PrefetchDiscards)
 	g("snapshot_breaker_state", "snapshot breaker state (0 closed, 1 open, 2 half-open, -1 none)", breakerStateValue(m.BreakerState))
 	c("snapshot_breaker_transitions_total", "snapshot breaker state changes", m.BreakerTransitions)
 	c("snapshot_gc_runs_total", "snapshot directory byte-budget GC passes", int64(m.SnapshotGCRuns))

@@ -33,21 +33,18 @@ import (
 	"fastliveness/internal/ir"
 )
 
-// rebuildPool runs EngineConfig.RebuildWorkers goroutines over three
+// rebuildPool runs EngineConfig.RebuildWorkers goroutines over two
 // queues in strict priority order: a deduplicated queue of dirty handles
-// (rebuilds keep queries fast now), a deduplicated queue of warm-start
-// snapshot prefetches (Engine.Prefetch — they only make upcoming first
-// touches cheaper), and snapshot write-back jobs (engine.saveSnapshot —
-// they only help future processes).
+// (rebuilds keep queries fast now) and snapshot write-back jobs
+// (engine.saveSnapshot — they only help future processes).
 type rebuildPool struct {
 	e *Engine
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*handle
-	prefetch []*handle
-	saves    []func()
-	closed   bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []*handle
+	saves  []func()
+	closed bool
 
 	wg      sync.WaitGroup
 	rebuilt atomic.Int64 // analyses the pool rebuilt and published
@@ -66,12 +63,10 @@ func newRebuildPool(e *Engine, workers int) *rebuildPool {
 func (p *rebuildPool) worker() {
 	defer p.wg.Done()
 	for {
-		h, isPrefetch, save, ok := p.next()
+		h, save, ok := p.next()
 		switch {
 		case !ok:
 			return
-		case h != nil && isPrefetch:
-			p.e.prefetchOne(h)
 		case h != nil:
 			p.e.rebuildOne(h)
 		default:
@@ -81,30 +76,25 @@ func (p *rebuildPool) worker() {
 }
 
 // next blocks until work is queued or the pool is closed, handing out
-// rebuilds before prefetches before saves.
-func (p *rebuildPool) next() (h *handle, isPrefetch bool, save func(), ok bool) {
+// rebuilds before saves.
+func (p *rebuildPool) next() (h *handle, save func(), ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.queue) == 0 && len(p.prefetch) == 0 && len(p.saves) == 0 && !p.closed {
+	for len(p.queue) == 0 && len(p.saves) == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
-		return nil, false, nil, false
+		return nil, nil, false
 	}
 	if len(p.queue) > 0 {
 		h := p.queue[0]
 		p.queue = p.queue[1:]
 		p.e.met.queueDepth.Add(-1)
-		return h, false, nil, true
-	}
-	if len(p.prefetch) > 0 {
-		h := p.prefetch[0]
-		p.prefetch = p.prefetch[1:]
-		return h, true, nil, true
+		return h, nil, true
 	}
 	save = p.saves[0]
 	p.saves = p.saves[1:]
-	return nil, false, save, true
+	return nil, save, true
 }
 
 // enqueueSave adds a snapshot write-back job. On a closed pool the job
@@ -143,32 +133,12 @@ func (p *rebuildPool) enqueue(h *handle) {
 	p.e.tracer.RebuildEnqueue(h.f.Name)
 }
 
-// enqueuePrefetch adds h to the warm-start prefetch queue. The caller has
-// already set h.prefetchQueued under the shard mutex; on a closed pool
-// the flag is rolled back and false returned — a dropped prefetch costs
-// nothing, the function just loads (or builds) on its first query.
-func (p *rebuildPool) enqueuePrefetch(h *handle) bool {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		h.shard.mu.Lock()
-		h.prefetchQueued = false
-		h.shard.mu.Unlock()
-		return false
-	}
-	p.prefetch = append(p.prefetch, h)
-	p.mu.Unlock()
-	p.cond.Signal()
-	return true
-}
-
 // close stops the workers and waits for them to exit. Pending rebuild
 // entries are discarded — an un-rebuilt dirty function is simply rebuilt
-// on demand by its next query — and pending prefetches likewise (a
-// function not prefetched just loads on first touch); but pending
-// snapshot saves are drained to disk, so an engine that was Closed has
-// flushed every write-back it scheduled (the property the warm-start
-// story rests on: process one Closes, process two hits).
+// on demand by its next query — but pending snapshot saves are drained to
+// disk, so an engine that was Closed has flushed every write-back it
+// scheduled (the property the warm-start story rests on: process one
+// Closes, process two hits).
 func (p *rebuildPool) close() {
 	p.mu.Lock()
 	if p.closed {
@@ -179,8 +149,6 @@ func (p *rebuildPool) close() {
 	pending := p.queue
 	p.queue = nil
 	p.e.met.queueDepth.Add(-int64(len(pending)))
-	prefetches := p.prefetch
-	p.prefetch = nil
 	saves := p.saves
 	p.saves = nil
 	p.mu.Unlock()
@@ -192,12 +160,6 @@ func (p *rebuildPool) close() {
 		h.shard.mu.Unlock()
 		p.e.met.rebuildDiscards.Inc()
 		p.e.tracer.RebuildDiscard(h.f.Name)
-	}
-	for _, h := range prefetches {
-		h.shard.mu.Lock()
-		h.prefetchQueued = false
-		h.shard.mu.Unlock()
-		p.e.met.prefetchDiscards.Inc()
 	}
 	for _, save := range saves {
 		save()
@@ -232,40 +194,27 @@ func (e *Engine) rebuildOne(h *handle) {
 	s.mu.Unlock()
 
 	// runBuild recovers backend panics into a *BuildPanicError, so a
-	// panicking analysis quarantines its function (via recordFailure
-	// below) instead of killing this pool worker.
+	// panicking analysis quarantines its function (via publishBuild's
+	// failure recording) instead of killing this pool worker.
 	live, err := e.runBuild(h)
 
 	s.mu.Lock()
-	h.building = false
-	s.cond.Broadcast()
-	switch {
-	case h.gen != gen:
-		// Superseded while building (Invalidate, or an eviction of a
-		// racing publisher bumped the generation): discard. Queries that
-		// waited on this build find live == nil and build on demand.
+	defer s.mu.Unlock()
+	if h.gen != gen || (err == nil && live.Stale()) {
+		// Superseded while building — Invalidate, or an eviction of a
+		// racing publisher, bumped the generation — or another edit landed
+		// mid-build and the result is already dead: discard. Queries that
+		// waited on this build find live == nil and build on demand
+		// against the current program.
+		h.building = false
+		s.cond.Broadcast()
 		e.met.rebuildDiscards.Inc()
 		e.tracer.RebuildDiscard(h.f.Name)
-	case err != nil:
-		h.err = err
-		e.recordFailure(h, err)
-	case live.Stale():
-		// Another edit landed mid-build; the result is already dead.
-		// Leave the slot empty — the next query (or MarkDirty) rebuilds
-		// against the newer program.
-		e.met.rebuildDiscards.Inc()
-		e.tracer.RebuildDiscard(h.f.Name)
-	default:
-		h.live = live
-		e.clearQuarantine(h)
-		h.elem = s.lru.PushFront(h)
-		e.resident.Add(1)
-		e.enforceCacheBound(s)
-		if h.elem != nil { // not self-evicted by the bound
-			e.pool.rebuilt.Add(1)
-		}
+		return
 	}
-	s.mu.Unlock()
+	if _, err := e.publishBuild(h, gen, live, err); err == nil && h.elem != nil {
+		e.pool.rebuilt.Add(1) // published, not self-evicted by the bound
+	}
 }
 
 // MarkDirty tells the engine f may have been edited. With a rebuild pool
@@ -329,14 +278,6 @@ func (e *Engine) BackgroundRebuilds() int {
 		return 0
 	}
 	return int(e.pool.rebuilt.Load())
-}
-
-// QueuedRebuilds reports how many functions currently sit in the rebuild
-// pool's queue — the queue-depth gauge Metrics().QueuedRebuilds reads,
-// maintained atomically at enqueue/dequeue so neither caller touches the
-// pool lock. Zero when no pool is configured.
-func (e *Engine) QueuedRebuilds() int {
-	return int(e.met.queueDepth.Load())
 }
 
 // Close stops the background rebuild workers, if any, and waits for

@@ -377,17 +377,8 @@ func (e *Engine) analyze(h *handle) (*Liveness, error) {
 	}
 	st := e.snapshotTier()
 	if st != nil {
-		// A prefetch worker may already have consulted the store for
-		// exactly this IR and come up empty; consuming its record here
-		// skips the redundant disk probe and keeps the hit/miss accounting
-		// at one store consultation per build. The record is epoch-stamped,
-		// so any intervening edit re-probes.
-		skip := h.snapProbed && h.snapProbedAt == backend.EpochsOf(f)
-		h.snapProbed = false
-		if !skip {
-			if live, res := e.loadSnapshot(st, f); res == snapHit {
-				return live, nil
-			}
+		if live, ok := e.loadSnapshot(st, f); ok {
+			return live, nil
 		}
 	}
 	e.snap.computes.Add(1)
@@ -397,18 +388,6 @@ func (e *Engine) analyze(h *handle) (*Liveness, error) {
 	}
 	return live, err
 }
-
-// snapResult classifies one consultation of the snapshot tier. The build
-// path treats everything but a hit as "run the real precompute"; the
-// prefetch pipeline additionally tells misses from breaker skips for its
-// own accounting.
-type snapResult int
-
-const (
-	snapHit snapResult = iota
-	snapMiss
-	snapBreakerOpen
-)
 
 // loadSnapshot tries to serve f's analysis from the store. Every failure —
 // no file, torn or bit-flipped file, version skew, a fingerprint that
@@ -420,12 +399,12 @@ const (
 // The warm path never builds a CFG: FingerprintFunc derives the key (and
 // the block index) straight off the IR, and under format v3 a validating
 // RestoreFrom adopts the graph, DFS and dominator tree from the file.
-func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness, res snapResult) {
+func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness, ok bool) {
 	start := time.Now()
 	defer func() {
 		d := time.Since(start)
 		e.met.snapLoadNs.Observe(d.Nanoseconds())
-		e.tracer.SnapshotLoad(f.Name, res == snapHit, d)
+		e.tracer.SnapshotLoad(f.Name, ok, d)
 	}()
 	opts := e.config.Config.coreOptions()
 	fp, index := snapshot.FingerprintFunc(f, snapshot.FlagsFor(opts))
@@ -434,18 +413,17 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness, re
 		e.snap.snapMisses.Add(1)
 		if errors.Is(err, errSnapshotBreakerOpen) {
 			e.snap.snapBreakerSkips.Add(1)
-			return nil, snapBreakerOpen
 		}
-		return nil, snapMiss
+		return nil, false
 	}
 	cr, err := s.RestoreFrom(f, index, opts)
 	if err != nil {
 		e.snap.snapMisses.Add(1)
-		return nil, snapMiss
+		return nil, false
 	}
 	e.snap.snapHits.Add(1)
 	e.snap.snapLoadedBytes.Add(s.SizeBytes())
-	return livenessFromResult(f, cr, e.config.Config), snapHit
+	return livenessFromResult(f, cr, e.config.Config), true
 }
 
 // livenessFromResult wraps an adopted checker result as a query handle,
@@ -503,136 +481,4 @@ func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 		return
 	}
 	job()
-}
-
-// Prefetch enqueues a warm-start snapshot load for every registered
-// function with no resident analysis, fanned across the rebuild pool's
-// workers: each prefetch fingerprints the function, loads and validates
-// its snapshot if one exists, and publishes the adopted analysis into the
-// cache ahead of the first query — so a warm process front-loads its disk
-// tier instead of paying one load per first touch. Prefetches ride the
-// pool at a priority between staleness rebuilds (which keep queries fast
-// now) and snapshot saves (which only help future processes), share the
-// engine's single-flight machinery (a query arriving mid-prefetch waits
-// for and reuses it), and obey the store's circuit breaker. A function
-// whose snapshot misses is left for the on-demand build, which skips the
-// duplicate store probe the prefetch already paid.
-//
-// Prefetch returns how many loads it enqueued. It is a safe no-op — and
-// returns 0 — without a rebuild pool, without a snapshot tier (no store,
-// or a non-checker backend), or after Shutdown. Precompute calls it
-// implicitly; call it directly to warm the cache without forcing the
-// recompute of functions that miss.
-func (e *Engine) Prefetch() int {
-	return e.prefetchFuncs(e.Funcs())
-}
-
-// prefetchFuncs enqueues prefetches for the given registered functions,
-// deduplicated per handle via prefetchQueued exactly as MarkDirty
-// deduplicates rebuilds via queued.
-func (e *Engine) prefetchFuncs(funcs []*ir.Func) int {
-	if e.pool == nil || e.snapshotTier() == nil || e.closed.Load() {
-		return 0
-	}
-	n := 0
-	for _, f := range funcs {
-		h := e.lookup(f)
-		if h == nil {
-			continue
-		}
-		s := h.shard
-		s.mu.Lock()
-		if h.prefetchQueued || h.queued || h.building || h.live != nil || h.err != nil {
-			s.mu.Unlock()
-			continue
-		}
-		h.prefetchQueued = true
-		s.mu.Unlock()
-		if e.pool.enqueuePrefetch(h) {
-			n++
-		}
-	}
-	return n
-}
-
-// prefetchOne runs one dequeued prefetch on a pool worker, mirroring
-// rebuildOne: the decision runs under the shard mutex, the load itself
-// runs unlocked with building set (sharing the single-flight path with
-// queries) and under the function's read lock, and the publish re-checks
-// the generation so a prefetch superseded mid-load by Invalidate or an
-// edit is discarded, never cached.
-func (e *Engine) prefetchOne(h *handle) {
-	st := e.snapshotTier()
-	s := h.shard
-	s.mu.Lock()
-	h.prefetchQueued = false
-	if st == nil || h.building || h.queued || h.live != nil || h.err != nil {
-		// Already resident, already being built (the builder's own store
-		// probe covers it), queued for a rebuild, or sticky-failed: nothing
-		// for a prefetch to add.
-		s.mu.Unlock()
-		e.met.prefetchDiscards.Inc()
-		return
-	}
-	h.building = true
-	gen := h.gen
-	s.mu.Unlock()
-
-	live, res := e.runPrefetch(h, st)
-
-	s.mu.Lock()
-	h.building = false
-	s.cond.Broadcast()
-	switch {
-	case res != snapHit:
-		// Miss or breaker skip: the on-demand build recomputes (skipping
-		// the store probe recorded via snapProbed). Not a discard — the
-		// load ran and its outcome was counted.
-	case h.gen != gen || live.Stale():
-		// Invalidated, evicted or edited mid-load: the adopted analysis
-		// may describe a CFG that no longer exists.
-		e.met.prefetchDiscards.Inc()
-	default:
-		h.live = live
-		e.clearQuarantine(h)
-		h.elem = s.lru.PushFront(h)
-		e.resident.Add(1)
-		e.enforceCacheBound(s)
-	}
-	s.mu.Unlock()
-}
-
-// runPrefetch executes one prefetch load under the function's read lock:
-// the same epoch-tracked verification as analyze (the prefetcher is the
-// sole in-flight builder, so it owns the handle's verification record),
-// then the store consultation. On anything but a hit the probe is
-// recorded on the handle so the next build of the same IR skips it. A
-// function that fails verification is left untouched for the on-demand
-// build to diagnose — a prefetch never publishes failures.
-func (e *Engine) runPrefetch(h *handle, st *SnapshotStore) (*Liveness, snapResult) {
-	h.irMu.RLock()
-	defer h.irMu.RUnlock()
-	f := h.f
-	if !e.config.Config.SkipVerify {
-		if now := backend.EpochsOf(f); !h.verified || h.verifiedAt != now {
-			if err := ir.Verify(f); err != nil {
-				e.met.prefetchMisses.Inc()
-				return nil, snapMiss
-			}
-			h.verified, h.verifiedAt = true, now
-		}
-	}
-	probedAt := backend.EpochsOf(f) // stable: Edit write-locks irMu
-	live, res := e.loadSnapshot(st, f)
-	switch res {
-	case snapHit:
-		e.met.prefetchHits.Inc()
-	case snapBreakerOpen:
-		e.met.prefetchSkips.Inc()
-		h.snapProbed, h.snapProbedAt = true, probedAt
-	default:
-		e.met.prefetchMisses.Inc()
-		h.snapProbed, h.snapProbedAt = true, probedAt
-	}
-	return live, res
 }
