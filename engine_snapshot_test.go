@@ -113,6 +113,72 @@ func TestEngineSnapshotWarmStart(t *testing.T) {
 	}
 }
 
+// Loading ahead of demand: Precompute over a warm store on an engine with
+// a rebuild pool publishes every analysis from disk — full residency, all
+// hits, zero computes — and answers exactly like a storeless engine.
+func TestEnginePrefetchWarmStart(t *testing.T) {
+	const n = 10
+	ss := snapshotDir(t)
+	warmStore(t, ss, engineCorpus(t, n, 9001))
+
+	funcs := engineCorpus(t, n, 9001)
+	e := NewEngine(EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss})
+	defer e.Close()
+	e.Add(funcs...)
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if r := e.Resident(); r != n {
+		t.Fatalf("%d resident after a warm Precompute, want %d", r, n)
+	}
+	if s := e.SnapshotStats(); s.Hits != n || s.Misses != 0 || s.Computes != 0 {
+		t.Fatalf("snapshot stats after a warm Precompute: %+v, want %d hits / 0 misses / 0 computes", s, n)
+	}
+
+	fresh, err := AnalyzeProgram(engineCorpus(t, n, 9001), EngineConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(t, e, funcs) != fingerprint(t, fresh, fresh.Funcs()) {
+		t.Fatal("warm-loaded answers differ from a storeless engine's")
+	}
+	// Queries on resident analyses never go back to the store.
+	if s := e.SnapshotStats(); s.Hits+s.Misses != n {
+		t.Fatalf("store consulted %d times after queries, want %d", s.Hits+s.Misses, n)
+	}
+}
+
+// Over an empty store every build misses once and computes: the store is
+// consulted exactly once per function across Precompute and the queries
+// that follow, never twice for one build.
+func TestEnginePrefetchMissSkipsDuplicateProbe(t *testing.T) {
+	const n = 6
+	ss := snapshotDir(t)
+	funcs := engineCorpus(t, n, 9002)
+	e := NewEngine(EngineConfig{Parallelism: 1, RebuildWorkers: 1, SnapshotStore: ss})
+	defer e.Close()
+	e.Add(funcs...)
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range funcs {
+		if _, err := e.Liveness(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.SnapshotStats()
+	if s.Hits+s.Misses != n {
+		t.Fatalf("store consulted %d times across Precompute + queries, want exactly %d (no double probe)",
+			s.Hits+s.Misses, n)
+	}
+	if s.Misses != n || s.Computes != n {
+		t.Fatalf("%d misses, %d computes over an empty store, want %d/%d", s.Misses, s.Computes, n, n)
+	}
+	for _, f := range funcs {
+		assertMatchesFresh(t, e, f)
+	}
+}
+
 // A snapshot load that Invalidate supersedes mid-load must be discarded by
 // generation — handed to the caller that started it, never cached — and
 // the next request still answers correctly.
