@@ -875,8 +875,9 @@ func (e *Engine) Oracle(f *ir.Func) (*Oracle, error) {
 //
 // ensure runs without the function's read lock held (taking it here
 // would deadlock against the build path, which read-locks around its own
-// IR walk); the query wrapper re-checks staleness under the lock.
-func (o *Oracle) ensure() *Querier {
+// IR walk); the query wrapper calls it only after its own check under the
+// lock found the analysis stale, and then re-checks under the lock.
+func (o *Oracle) ensure() {
 	if o.live.Stale() {
 		live, err := o.e.liveness(context.Background(), o.h)
 		if err != nil {
@@ -885,19 +886,17 @@ func (o *Oracle) ensure() *Querier {
 		o.live = live
 		o.qr = live.NewQuerier()
 	}
-	return o.qr
 }
 
 // query answers one question under the function's read lock, re-fetching
 // until the analysis it holds is fresh at the moment the lock is held.
-// The common case (no intervening edit) is one lock-free staleness check
-// plus one uncontended RLock.
+// The common case (no intervening edit) is one uncontended RLock plus one
+// staleness check under it.
 func (o *Oracle) query(ask func(*Querier) bool) bool {
 	for {
-		qr := o.ensure()
 		o.h.irMu.RLock()
 		if !o.live.Stale() {
-			v := ask(qr)
+			v := ask(o.qr)
 			o.h.irMu.RUnlock()
 			// One atomic add is the entire per-query instrumentation cost:
 			// per-query timing would double the hot path's latency for a
@@ -906,8 +905,9 @@ func (o *Oracle) query(ask func(*Querier) bool) bool {
 			o.e.met.queries.Inc()
 			return v
 		}
-		// An edit landed between ensure and the lock: retry.
+		// Stale: refresh outside the lock, then retry under it.
 		o.h.irMu.RUnlock()
+		o.ensure()
 	}
 }
 

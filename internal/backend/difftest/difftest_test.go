@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"fastliveness/internal/backend"
+	"fastliveness/internal/cfg"
 	"fastliveness/internal/dataflow"
+	"fastliveness/internal/dom"
 	"fastliveness/internal/graphgen"
 	"fastliveness/internal/ir"
 	"fastliveness/internal/regalloc"
@@ -164,4 +166,59 @@ func TestCorpusIncludesHighPressureFunctions(t *testing.T) {
 	if maxP < 12 {
 		t.Fatalf("densest corpus function has max pressure %d, want >= 12 (pressure bias missing?)", maxP)
 	}
+}
+
+// The lemma the register allocator's pruning rests on: in strict SSA a
+// value's live range is a subtree of the dominator tree rooted at its
+// definition. For every result-defining v and reachable block b other than
+// v's defining block, ground truth must satisfy
+//
+//	IsLiveIn(v, b) ∧ idom(b) ≠ def(v) ⇒ IsLiveIn(v, idom(b))
+//	IsLiveOut(v, b)                  ⇒ IsLiveOut(v, idom(b))
+//
+// so regalloc.Scan may ask about idom(b)'s live-in and defined values only,
+// and MeasurePressure may skip the subtree of a block a value is dead at
+// the end of. Irreducible functions are included on purpose: the lemma
+// needs strictness, not reducibility.
+func TestLiveRangeIsDominatorSubtree(t *testing.T) {
+	n := 200
+	if testing.Short() {
+		n = 40
+	}
+	pairs, irreducible := 0, 0
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		for _, f := range Corpus(n, seed) {
+			g, index := cfg.FromFunc(f)
+			d := cfg.NewDFS(g)
+			tree := dom.Iterative(g, d)
+			if !dom.IsReducible(d, tree) {
+				irreducible++
+			}
+			truth := dataflow.Analyze(f)
+			f.Values(func(v *ir.Value) {
+				if !v.Op.HasResult() {
+					return
+				}
+				def := index[v.Block.ID]
+				for node, b := range f.Blocks {
+					p := tree.Idom[node]
+					if node == def || p < 0 {
+						continue // v's own block, the entry, or unreachable
+					}
+					pairs++
+					idom := f.Blocks[p]
+					if truth.IsLiveIn(v, b) && p != def && !truth.IsLiveIn(v, idom) {
+						t.Fatalf("%s (seed %d): %s live-in at %s but not at its idom %s", f.Name, seed, v, b, idom)
+					}
+					if truth.IsLiveOut(v, b) && !truth.IsLiveOut(v, idom) {
+						t.Fatalf("%s (seed %d): %s live-out at %s but not at its idom %s", f.Name, seed, v, b, idom)
+					}
+				}
+			})
+		}
+	}
+	if irreducible == 0 {
+		t.Fatal("corpus held no irreducible function; the lemma was not tested where it matters")
+	}
+	t.Logf("%d (value, block) pairs, %d irreducible functions", pairs, irreducible)
 }

@@ -58,11 +58,10 @@ type Config struct {
 	// shard-invariant.
 	Shards int
 	// RebuildWorkers starts that many background rebuild workers on the
-	// engine. The driver marks each function dirty only after it completes
-	// the whole chain — no pass ever queries it again — so the workers
-	// refresh finished functions for later consumers without perturbing a
-	// single per-pass counter: Rebuilds still counts exactly the
-	// staleness the passes themselves paid on the query path.
+	// engine. Like Shards it is a contention knob only: the passes pay
+	// every staleness rebuild on the query path, and the driver releases
+	// each function's analysis once its chain completes, so per-pass
+	// counters and output are worker-invariant.
 	RebuildWorkers int
 }
 
@@ -298,11 +297,10 @@ func RunPasses(funcs []*ir.Func, passes []Pass, cfg Config) (*Report, error) {
 			perPass[i].Queries = ctx.queries
 			perPass[i].Ns = time.Since(start).Nanoseconds()
 		}
-		// The chain is done with f — no pass queries it again — so hand
-		// any staleness its last passes left to the background workers
-		// (a no-op without RebuildWorkers, or when the backend survived
-		// the edits, as the checker does).
-		eng.MarkDirty(f)
+		// The chain is done with f and the engine ends with this call, so
+		// nothing queries f's analysis again: release it now instead of
+		// holding every function's analysis until the run ends.
+		eng.Invalidate(f)
 		if skipped {
 			report.Skipped++
 			continue

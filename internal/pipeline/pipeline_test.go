@@ -144,10 +144,10 @@ func TestPipelineSkipsIrreducibleForLoops(t *testing.T) {
 
 // Driving the pipeline through an engine with shards and background
 // rebuild workers must not change a single report counter or output
-// program: functions are marked dirty only after they finish the chain,
-// so the async machinery refreshes finished functions without touching
-// the per-pass accounting. Wall-time fields are the only legitimate
-// difference and are normalized away.
+// program: the passes pay their staleness on the query path and each
+// function's analysis is released once it finishes the chain, so the
+// async machinery never touches the per-pass accounting. Wall-time
+// fields are the only legitimate difference and are normalized away.
 func TestPipelineAsyncEngineEquivalence(t *testing.T) {
 	protos := slotCorpus(t, 8, 42, true)
 	run := func(cfg pipeline.Config) (*pipeline.Report, []string) {
@@ -169,8 +169,8 @@ func TestPipelineAsyncEngineEquivalence(t *testing.T) {
 		}
 		return rep, out
 	}
-	// dataflow so the post-chain MarkDirty actually queues work (the
-	// checker survives the editing tail and marks nothing dirty).
+	// dataflow so the passes' edits force staleness rebuilds on an engine
+	// that also runs a pool (the checker survives the editing tail).
 	base := pipeline.Config{Backend: "dataflow", Regs: 4, Verify: true}
 	wantRep, wantOut := run(base)
 	async := base

@@ -26,11 +26,12 @@ type Pressure struct {
 }
 
 // MeasurePressure computes the pressure profile through the oracle alone:
-// one IsLiveOut query per (value, dominated block) pair builds each
-// block's live-at-end set — in strict SSA a value can only be live where
-// its definition dominates, so the dominance-preorder interval of the
-// definition bounds the sweep — and a backward in-block walk refines the
-// end sets to the per-point maximum.
+// IsLiveOut queries over each value's dominance subtree build each block's
+// live-at-end set, and a backward in-block walk refines the end sets to
+// the per-point maximum. In strict SSA a value's live range is a subtree
+// of the dominator tree rooted at its definition — live-out at b implies
+// live-out at idom(b) — so the preorder sweep of the definition's subtree
+// skips the whole subtree of every block the value is dead at the end of.
 func MeasurePressure(f *ir.Func, oracle Oracle) Pressure {
 	g, index := cfg.FromFunc(f)
 	d := cfg.NewDFS(g)
@@ -47,10 +48,12 @@ func MeasurePressure(f *ir.Func, oracle Oracle) Pressure {
 			return // unreachable definition: live nowhere
 		}
 		for num := tree.Num[dn]; num <= tree.MaxNum[dn]; num++ {
-			b := f.Blocks[tree.Order[num]]
+			node := tree.Order[num]
 			p.Queries++
-			if oracle.IsLiveOut(v, b) {
-				atEnd[tree.Order[num]] = append(atEnd[tree.Order[num]], v)
+			if oracle.IsLiveOut(v, f.Blocks[node]) {
+				atEnd[node] = append(atEnd[node], v)
+			} else {
+				num = tree.MaxNum[node] // dead below node too
 			}
 		}
 	})

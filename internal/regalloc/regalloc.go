@@ -15,12 +15,17 @@
 //
 // Every decision is a liveness query:
 //
-//   - block-entry occupancy: one IsLiveIn(v, b) per value defined on the
-//     dominator path — which registers are taken when the scan enters b;
+//   - block-entry occupancy: one IsLiveIn(v, b) per value live-in at or
+//     defined in idom(b) — which registers are taken when the scan enters
+//     b. No other value can be live-in at b: in strict SSA a value's live
+//     range is a subtree of the dominator tree rooted at its definition, so
+//     a value live-in at b is live-in at idom(b) unless idom(b) defines
+//     it. Pruning to that set is exact — it drops only "no" answers;
 //   - death points: one IsLiveOut(v, b) per last in-block use — whether a
 //     register frees mid-block or stays occupied past the block;
 //   - register pressure (MeasurePressure): IsLiveOut over each value's
-//     dominance subtree, refined by a backward in-block walk.
+//     dominance subtree, minus the subtrees of blocks it is dead at the
+//     end of (the same lemma), refined by a backward in-block walk.
 //
 // The paper's headline property is what makes the spill loop cheap with
 // the checker as oracle: spill code insertion adds stores, reloads and
@@ -178,9 +183,11 @@ type Allocator struct {
 	pos         []int32 // value ID -> index within its block
 	unspillable []bool  // value ID -> spill artifact or already spilled
 
-	occ      []bool      // register -> occupied at the current scan point
-	owner    []*ir.Value // register -> owning value while occupied
-	domStack []*ir.Value // values defined along the current dominator path
+	occ   []bool      // register -> occupied at the current scan point
+	owner []*ir.Value // register -> owning value while occupied
+	// domStack holds one segment per frame on the dominator path: the
+	// values live-in at the frame's block followed by those it defines.
+	domStack []*ir.Value
 	frames   []scanFrame
 
 	numRegs int
@@ -193,7 +200,9 @@ type Allocator struct {
 type scanFrame struct {
 	node int
 	next int // next dominator-tree child to visit
-	mark int // domStack length on entry
+	// domStack[parent:mark] is the idom's segment; this frame's own
+	// segment starts at mark.
+	parent, mark int
 }
 
 // scanFault describes the first point of a failed scan: the value that
@@ -264,18 +273,18 @@ func (a *Allocator) Scan() bool {
 	}
 	a.domStack = a.domStack[:0]
 	a.frames = a.frames[:0]
-	a.frames = append(a.frames, scanFrame{node: 0, mark: 0})
+	a.frames = append(a.frames, scanFrame{node: 0})
 	for len(a.frames) > 0 {
 		fr := &a.frames[len(a.frames)-1]
 		if fr.next == 0 {
-			if !a.scanBlock(a.blocks[fr.node]) {
+			if !a.scanBlock(a.blocks[fr.node], fr.parent, fr.mark) {
 				return false
 			}
 		}
 		if fr.next < len(a.tree.Children[fr.node]) {
 			c := a.tree.Children[fr.node][fr.next]
 			fr.next++
-			a.frames = append(a.frames, scanFrame{node: c, mark: len(a.domStack)})
+			a.frames = append(a.frames, scanFrame{node: c, parent: fr.mark, mark: len(a.domStack)})
 			continue
 		}
 		a.domStack = a.domStack[:fr.mark]
@@ -285,19 +294,18 @@ func (a *Allocator) Scan() bool {
 }
 
 // scanBlock assigns registers within b: entry occupancy from live-in
-// queries over the dominator path, φs as a simultaneous group, then a
+// queries over the idom's segment domStack[lo:hi] (survivors open b's own
+// segment, in their original order), φs as a simultaneous group, then a
 // forward walk freeing dying operands before each definition.
-func (a *Allocator) scanBlock(b *ir.Block) bool {
+func (a *Allocator) scanBlock(b *ir.Block, lo, hi int) bool {
 	for r := 0; r < a.k; r++ {
 		a.occ[r] = false
 		a.owner[r] = nil
 	}
-	for _, v := range a.domStack {
+	for _, v := range a.domStack[lo:hi] { // appends land past hi
 		r := a.reg[v.ID]
-		if r < 0 {
-			continue
-		}
 		if a.liveIn(v, b) {
+			a.domStack = append(a.domStack, v)
 			if a.occ[r] && a.err == nil {
 				a.err = fmt.Errorf("regalloc: internal: %s and %s both live-in at %s share r%d",
 					a.owner[r], v, b, r)

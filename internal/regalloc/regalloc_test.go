@@ -7,7 +7,9 @@ import (
 	"fastliveness"
 	"fastliveness/internal/backend"
 	"fastliveness/internal/backend/difftest"
+	"fastliveness/internal/cfg"
 	"fastliveness/internal/dataflow"
+	"fastliveness/internal/dom"
 	"fastliveness/internal/gen"
 	"fastliveness/internal/ir"
 	"fastliveness/internal/regalloc"
@@ -64,6 +66,72 @@ func TestSpillFreeMeetsPressureBound(t *testing.T) {
 		}
 		if alloc.Stats.Queries() == 0 {
 			t.Fatalf("%s: allocator issued no oracle queries", f.Name)
+		}
+	}
+}
+
+// The block-entry scan asks IsLiveIn only about idom(b)'s segment: the
+// values live-in at idom(b) plus those it defines. On a spill-free scan
+// that pins LiveInQueries to a count derived from data-flow truth alone —
+// over reachable non-entry b with P = idom(b), |{v : def(v) strictly
+// dominates P ∧ live-in(v, P)}| plus P's result-defining values — and the
+// pruning must not move a single register relative to the ground-truth
+// oracle's run.
+func TestScanLiveInQueriesFollowIdomSegment(t *testing.T) {
+	funcs := corpus(t)
+	for seed := int64(0); seed < 8; seed++ {
+		c := gen.HighPressure(seed)
+		if seed%2 == 0 {
+			c = gen.Default(seed)
+		}
+		c.TargetBlocks = 30
+		c.Irreducible = seed%3 == 0
+		f := gen.Generate("segment", c)
+		ssa.Construct(f)
+		funcs = append(funcs, f)
+	}
+	for _, f := range funcs {
+		truth := dataflow.Analyze(f)
+		k := regalloc.MeasurePressure(f, truth).Max
+		alloc, err := regalloc.Run(f, analyze(t, f), k)
+		if err != nil {
+			t.Fatalf("%s: k = max pressure %d: %v", f.Name, k, err)
+		}
+		ref, err := regalloc.Run(f, truth, k)
+		if err != nil {
+			t.Fatalf("%s: ground-truth oracle, k = %d: %v", f.Name, k, err)
+		}
+		if alloc.Stats.Rounds != 1 || ref.Stats.Rounds != 1 {
+			t.Fatalf("%s: k = max pressure %d took %d/%d rounds, want spill-free", f.Name, k, alloc.Stats.Rounds, ref.Stats.Rounds)
+		}
+
+		g, index := cfg.FromFunc(f)
+		tree := dom.Iterative(g, cfg.NewDFS(g))
+		want := 0
+		for node := range f.Blocks {
+			p := tree.Idom[node]
+			if p < 0 {
+				continue // entry or unreachable: no segment to test
+			}
+			P := f.Blocks[p]
+			f.Values(func(v *ir.Value) {
+				if !v.Op.HasResult() {
+					return
+				}
+				if v.Block == P || tree.StrictlyDominates(index[v.Block.ID], p) && truth.IsLiveIn(v, P) {
+					want++
+				}
+			})
+		}
+		for _, a := range []*regalloc.Allocation{alloc, ref} {
+			if a.Stats.LiveInQueries != want {
+				t.Fatalf("%s: scan asked %d IsLiveIn queries, idom segments hold %d", f.Name, a.Stats.LiveInQueries, want)
+			}
+		}
+		for id := range ref.Reg {
+			if alloc.Reg[id] != ref.Reg[id] {
+				t.Fatalf("%s: value ID %d: checker run assigned r%d, ground-truth run r%d", f.Name, id, alloc.Reg[id], ref.Reg[id])
+			}
 		}
 	}
 }
