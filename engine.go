@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,13 +316,14 @@ func (e *Engine) Funcs() []*ir.Func {
 }
 
 // Precompute analyzes every registered function that is not already
-// resident, spreading the work over the worker pool. The result is
-// deterministic regardless of parallelism: each function's analysis
-// depends only on that function, and the returned error is the first
-// failure in registration order (nil if all succeed). The one
-// scheduling-dependent artifact is which analyses remain resident when
-// MaxCached is smaller than the program — LRU order follows completion
-// order — but evicted analyses rebuild on demand to identical answers.
+// resident, spreading the work over the worker pool, largest function
+// (by block count) first. The result is deterministic regardless of
+// parallelism: each function's analysis depends only on that function,
+// and the returned error is the first failure in registration order (nil
+// if all succeed). The one scheduling-dependent artifact is which
+// analyses remain resident when MaxCached is smaller than the program —
+// LRU order follows completion order — but evicted analyses rebuild on
+// demand to identical answers.
 func (e *Engine) Precompute() error {
 	return e.PrecomputeContext(context.Background())
 }
@@ -346,6 +348,20 @@ func (e *Engine) PrecomputeContext(ctx context.Context) error {
 	if workers < 1 {
 		workers = 1
 	}
+	// Workers claim the largest functions first: the R/T precompute grows
+	// quadratically with the block count, so a big function claimed last
+	// would run alone after the others finish. The sort is stable, so
+	// equal sizes keep registration order.
+	size := make([]int, len(funcs))
+	order := make([]int, len(funcs))
+	for i, f := range funcs {
+		h := e.lookup(f)
+		h.irMu.RLock()
+		size[i] = len(f.Blocks)
+		h.irMu.RUnlock()
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return size[b] - size[a] })
 	errs := make([]error, len(funcs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -354,10 +370,11 @@ func (e *Engine) PrecomputeContext(ctx context.Context) error {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(funcs) {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
 					return
 				}
+				i := order[k]
 				_, errs[i] = e.LivenessContext(ctx, funcs[i])
 			}
 		}()

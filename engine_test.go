@@ -174,6 +174,56 @@ func TestEnginePrecomputeErrorNamesFunction(t *testing.T) {
 	}
 }
 
+// Precompute claims functions largest first (by block count, ties in
+// registration order) and still reports the first failure in
+// registration order, not the first one built.
+func TestEnginePrecomputeClaimsLargestFirst(t *testing.T) {
+	generate := func(name string, seed int64, blocks int) *ir.Func {
+		c := gen.Default(seed)
+		c.TargetBlocks = blocks
+		f := gen.Generate(name, c)
+		ssa.Construct(f)
+		return f
+	}
+	island := func(name string, blocks int) *ir.Func {
+		f := ir.NewFunc(name)
+		for i := 0; i < blocks; i++ {
+			f.NewBlock(ir.BlockRet) // every block but the entry is unreachable
+		}
+		return f
+	}
+	funcs := []*ir.Func{
+		island("early", 3),
+		generate("small", 5, 16),
+		generate("big", 6, 60),
+		generate("small2", 5, 16), // same shape as small: a tie
+		island("late", 400),       // the largest: built first, fails first
+	}
+	blocks := make(map[string]int)
+	for _, f := range funcs {
+		blocks[f.Name] = len(f.Blocks)
+	}
+	if !(blocks["late"] > blocks["big"] && blocks["big"] > blocks["small"] &&
+		blocks["small"] == blocks["small2"] && blocks["small2"] > blocks["early"]) {
+		t.Fatalf("corpus shape changed: %v", blocks)
+	}
+	want := []string{"late", "big", "small", "small2", "early"}
+
+	tr := newRecordingTracer()
+	e := NewEngine(EngineConfig{Parallelism: 1, Tracer: tr})
+	e.Add(funcs...)
+	err := e.Precompute()
+	if err == nil || !strings.Contains(err.Error(), "precompute early:") {
+		t.Fatalf("Precompute error = %v, want the first failure in registration order (early)", err)
+	}
+	tr.mu.Lock()
+	got := append([]string(nil), tr.names["BuildStart"]...)
+	tr.mu.Unlock()
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("builds started in order %v, want %v", got, want)
+	}
+}
+
 func TestEngineRejectsUnregistered(t *testing.T) {
 	e := NewEngine(EngineConfig{})
 	f := engineCorpus(t, 1, 9)[0]

@@ -1,10 +1,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/bits"
 	"sync/atomic"
 	"unsafe"
@@ -140,7 +142,7 @@ type Snapshot struct {
 	RWords []uint64
 	TWords []uint64
 
-	// size is the encoded byte length, recorded by Decode. Encode leaves
+	// size is the encoded byte length, recorded by Decode. WriteTo leaves
 	// it alone — concurrent Saves of one snapshot may race, and the dense
 	// format's size is pure arithmetic over the dimensions anyway
 	// (SizeBytes).
@@ -154,11 +156,12 @@ var ErrNoArena = errors.New("snapshot: checker dropped its T arena (SortedT); no
 
 // Capture packages a live checker's precomputation for serialization. The
 // word slices and the DFS/dominator arrays alias the live structures —
-// Encode reads them immediately, so the alias is safe as long as the
-// function is not edited in between, and all of them are write-once at
-// precompute time. Only the adjacency rows and children lists are
-// flattened (copied) here, into the offset-array layout the format
-// stores.
+// WriteTo reads them when the snapshot is saved, which may be later, on
+// the engine's rebuild pool. The alias stays safe because all of them are
+// write-once at precompute time: an edit makes the engine build new
+// structures rather than change these. Only the adjacency rows and
+// children lists are flattened (copied) here, into the offset-array
+// layout the format stores.
 func Capture(p *backend.Prep, c *core.Checker) (*Snapshot, error) {
 	r, t := c.Matrices()
 	if t == nil {
@@ -233,14 +236,56 @@ func sectionSizes(nBlocks, nEdges, nReach, nBack int) (cfgB, dfsB, domB int64, o
 	return cfgB, dfsB, domB, true
 }
 
-// Encode serializes s. The returned buffer is freshly allocated and fully
-// self-contained.
+// Encode serializes s into one freshly allocated, self-contained buffer:
+// WriteTo aimed at a buffer sized by SizeBytes.
 func (s *Snapshot) Encode() ([]byte, error) {
+	var buf bytes.Buffer
+	if size := s.SizeBytes(); size == int64(int(size)) {
+		buf.Grow(int(size))
+	}
+	if _, err := s.WriteTo(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// WriteTo streams s's encoding to w in three writes: the header plus the
+// structural sections, then the R arena, then the T arena. Only the
+// header and the O(n+e) structural sections are encoded into a buffer of
+// their own; the O(n²) arenas are written straight from s's words (on a
+// little-endian host their in-memory bytes already are the wire format)
+// and checksummed in place, so the header is complete before the first
+// write. A failed write returns its error with the byte count written so
+// far.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	head, rb, tb, err := s.sections()
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, b := range [][]byte{head, rb, tb} {
+		n, err := w.Write(b)
+		total += int64(n)
+		if err == nil && n != len(b) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// sections validates s's dimensions against its arrays and returns the
+// file's three parts: head (the header plus the encoded CFG, DFS and DOM
+// sections) and the R and T arenas' encoded bytes, over which the
+// header's crcR and crcT were computed.
+func (s *Snapshot) sections() (head, rb, tb []byte, err error) {
 	n, e, r := s.NBlocks, s.NEdges, s.NReach
 	nb := len(s.BackEdges) / 2
 	cfgB, dfsB, domB, ok := sectionSizes(n, e, r, nb)
 	if !ok {
-		return nil, fmt.Errorf("snapshot: dimensions out of range (%d blocks, %d edges, %d reachable)", n, e, r)
+		return nil, nil, nil, fmt.Errorf("snapshot: dimensions out of range (%d blocks, %d edges, %d reachable)", n, e, r)
 	}
 	nc := 0
 	if r > 0 {
@@ -249,23 +294,24 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	arena := r * wordsPerRow(r)
 	switch {
 	case len(s.SuccOff) != n+1 || len(s.Succs) != e || len(s.PredOff) != n+1 || len(s.Preds) != e:
-		return nil, errors.New("snapshot: inconsistent CFG arrays")
+		return nil, nil, nil, errors.New("snapshot: inconsistent CFG arrays")
 	case len(s.Pre) != n || len(s.Post) != n || len(s.Parent) != n || len(s.SubtreeMax) != n ||
 		len(s.PreOrder) != r || len(s.PostOrder) != r || len(s.BackEdges) != 2*nb:
-		return nil, errors.New("snapshot: inconsistent DFS arrays")
+		return nil, nil, nil, errors.New("snapshot: inconsistent DFS arrays")
 	case len(s.Idom) != n || len(s.Num) != n || len(s.MaxNum) != n || len(s.Order) != r ||
 		len(s.ChildOff) != n+1 || len(s.Children) != nc:
-		return nil, errors.New("snapshot: inconsistent dominator arrays")
+		return nil, nil, nil, errors.New("snapshot: inconsistent dominator arrays")
 	case len(s.RWords) != arena || len(s.TWords) != arena:
-		return nil, fmt.Errorf("snapshot: R/T arenas are %d/%d words, want %d", len(s.RWords), len(s.TWords), arena)
+		return nil, nil, nil, fmt.Errorf("snapshot: R/T arenas are %d/%d words, want %d", len(s.RWords), len(s.TWords), arena)
 	}
 	rB := 8 * int64(arena)
 	tB := 8 * int64(arena)
-	total := int64(headerSize) + cfgB + dfsB + domB + rB + tB
+	headLen := int64(headerSize) + cfgB + dfsB + domB
+	total := headLen + rB + tB
 	if rB > 1<<32-1 || tB > 1<<32-1 || int64(int(total)) != total {
-		return nil, fmt.Errorf("snapshot: %d-byte encoding exceeds the format's bounds", total)
+		return nil, nil, nil, fmt.Errorf("snapshot: %d-byte encoding exceeds the format's bounds", total)
 	}
-	buf := make([]byte, total)
+	head = make([]byte, headLen)
 
 	off := headerSize
 	for _, a := range [][]int{
@@ -274,39 +320,36 @@ func (s *Snapshot) Encode() ([]byte, error) {
 		s.Idom, s.Num, s.MaxNum, s.Order, s.ChildOff, s.Children,
 	} {
 		for _, v := range a {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(int64(v)))
+			binary.LittleEndian.PutUint64(head[off:], uint64(int64(v)))
 			off += 8
 		}
 	}
-	off += encodeWords(buf[off:], s.RWords)
-	off += encodeWords(buf[off:], s.TWords)
-	if int64(off) != total {
-		return nil, fmt.Errorf("snapshot: encoder wrote %d of %d bytes", off, total)
+	if int64(off) != headLen {
+		return nil, nil, nil, fmt.Errorf("snapshot: encoder wrote %d of %d header bytes", off, headLen)
 	}
 
 	cfgOff := int64(headerSize)
 	dfsOff := cfgOff + cfgB
 	domOff := dfsOff + dfsB
-	rOff := domOff + domB
-	tOff := rOff + rB
 
-	copy(buf[0:8], magic[:])
-	binary.LittleEndian.PutUint32(buf[8:], formatVersion)
-	binary.LittleEndian.PutUint32(buf[12:], s.Flags)
-	binary.LittleEndian.PutUint64(buf[16:], s.FP)
-	binary.LittleEndian.PutUint32(buf[24:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[28:], uint32(e))
-	binary.LittleEndian.PutUint32(buf[32:], uint32(r))
-	binary.LittleEndian.PutUint32(buf[36:], uint32(nb))
-	binary.LittleEndian.PutUint32(buf[40:], uint32(rB))
-	binary.LittleEndian.PutUint32(buf[44:], uint32(tB))
-	binary.LittleEndian.PutUint32(buf[48:], crc32.Checksum(buf[cfgOff:dfsOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[52:], crc32.Checksum(buf[dfsOff:domOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[56:], crc32.Checksum(buf[domOff:rOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[60:], crc32.Checksum(buf[rOff:tOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[64:], crc32.Checksum(buf[tOff:total], crcTable))
-	binary.LittleEndian.PutUint32(buf[68:], crc32.Checksum(buf[:68], crcTable))
-	return buf, nil
+	copy(head[0:8], magic[:])
+	binary.LittleEndian.PutUint32(head[8:], formatVersion)
+	binary.LittleEndian.PutUint32(head[12:], s.Flags)
+	binary.LittleEndian.PutUint64(head[16:], s.FP)
+	binary.LittleEndian.PutUint32(head[24:], uint32(n))
+	binary.LittleEndian.PutUint32(head[28:], uint32(e))
+	binary.LittleEndian.PutUint32(head[32:], uint32(r))
+	binary.LittleEndian.PutUint32(head[36:], uint32(nb))
+	binary.LittleEndian.PutUint32(head[40:], uint32(rB))
+	binary.LittleEndian.PutUint32(head[44:], uint32(tB))
+	binary.LittleEndian.PutUint32(head[48:], crc32.Checksum(head[cfgOff:dfsOff], crcTable))
+	binary.LittleEndian.PutUint32(head[52:], crc32.Checksum(head[dfsOff:domOff], crcTable))
+	binary.LittleEndian.PutUint32(head[56:], crc32.Checksum(head[domOff:headLen], crcTable))
+	rb, tb = wordBytes(s.RWords), wordBytes(s.TWords)
+	binary.LittleEndian.PutUint32(head[60:], crc32.Checksum(rb, crcTable))
+	binary.LittleEndian.PutUint32(head[64:], crc32.Checksum(tb, crcTable))
+	binary.LittleEndian.PutUint32(head[68:], crc32.Checksum(head[:68], crcTable))
+	return head, rb, tb, nil
 }
 
 // Decode parses and validates a snapshot buffer: magic, version, the
@@ -521,21 +564,21 @@ func adoptWords(b []byte, n int) (words []uint64, aliased bool) {
 	return out, false
 }
 
-// encodeWords writes words into dst little-endian and returns the byte
-// count — a single memmove on a little-endian host (the in-memory arena
-// already is the wire format), a per-word encode otherwise.
-func encodeWords(dst []byte, words []uint64) int {
+// wordBytes returns the little-endian encoding of words: on a
+// little-endian host a byte view of the arena itself (the in-memory arena
+// already is the wire format), otherwise a per-word encoded copy.
+func wordBytes(words []uint64) []byte {
 	if len(words) == 0 {
-		return 0
+		return nil
 	}
 	if nativeLittleEndian {
-		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words)))
-	} else {
-		for i, w := range words {
-			binary.LittleEndian.PutUint64(dst[8*i:], w)
-		}
+		return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
 	}
-	return 8 * len(words)
+	b := make([]byte, 8*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(b[8*i:], w)
+	}
+	return b
 }
 
 // Restore rebuilds a ready-to-query checker result for f from the

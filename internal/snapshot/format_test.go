@@ -21,19 +21,10 @@ import (
 	"fastliveness/internal/snapshot"
 )
 
-// captureOne builds a fresh checker for f and captures it.
+// captureOne builds a fresh checker for corpus function i and captures it.
 func captureOne(t testing.TB, i int, seed int64) *snapshot.Snapshot {
 	t.Helper()
-	f := difftest.Corpus(i+1, seed)[i]
-	p, err := backend.Prepare(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := backend.NewCheckerResult(p, core.Options{})
-	s, err := snapshot.Capture(p, cr.Checker())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := captureFunc(t, difftest.Corpus(i+1, seed)[i])
 	return s
 }
 

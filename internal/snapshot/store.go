@@ -23,14 +23,15 @@ const fileExt = ".flsnap"
 
 // Store manages a directory of snapshot files, one per fingerprint
 // (<%016x>.flsnap), with a byte budget enforced by mtime-ordered GC —
-// effectively LRU, because Load touches the file it hits. Saves go through
-// a temp file plus atomic rename, so concurrent processes sharing a
-// directory never observe half-written snapshots; the checksum in the
-// format catches everything else. The mutex serializes GC passes within
-// one process; concurrent saves, in one process or several, at worst
-// re-save an identical file or GC a file another saver just wrote —
-// benign, because snapshots are pure functions of their fingerprint and a
-// lost file only costs a future recompute.
+// effectively LRU, because Load touches the file it hits. Saves stream the
+// encoding into a temp file (see Snapshot.WriteTo) and rename it into
+// place atomically, so concurrent processes sharing a directory never
+// observe half-written snapshots; the checksums in the format catch
+// everything else. The mutex serializes GC passes within one process;
+// concurrent saves, in one process or several, at worst re-save an
+// identical file or GC a file another saver just wrote — benign, because
+// snapshots are pure functions of their fingerprint and a lost file only
+// costs a future recompute.
 //
 // Loads are mmap-backed where the platform allows (see mapFile): the
 // decoded Snapshot's word arenas alias the read-only mapping, so the
@@ -208,7 +209,8 @@ func (st *Store) Load(fp uint64) (*Snapshot, error) {
 		unmap()
 		return nil, fmt.Errorf("snapshot: file %s holds fingerprint %016x", filepath.Base(path), s.FP)
 	}
-	if !decodeAliases() {
+	aliased := decodeAliases()
+	if !aliased {
 		unmap() // Decode copied the arrays; nothing aliases the mapping
 	}
 	now := time.Now()
@@ -217,24 +219,28 @@ func (st *Store) Load(fp uint64) (*Snapshot, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prior, ok := st.cache[fp]; ok {
-		return prior, nil // a concurrent loader won; this mapping stays too
+		// A concurrent loader won. Nothing will reference s again, so its
+		// mapping can go.
+		if aliased {
+			unmap()
+		}
+		return prior, nil
 	}
 	st.cache[fp] = s
 	return s, nil
 }
 
-// Save encodes and writes s, keyed by its fingerprint, then enforces the
-// byte budget. Writing an already-present fingerprint replaces the file
-// with identical bytes — harmless, and what concurrent savers do to each
-// other. The file write takes no lock: temp names are unique and the
-// rename is atomic, and holding st.mu across disk I/O would stall every
-// concurrent Load's cache check behind it. Only the GC pass is serialized.
+// Save streams s into a temp file with WriteTo — the header and structural
+// sections from one small buffer, the R and T arenas straight from s's
+// words — renames it to the file keyed by s's fingerprint, then enforces
+// the byte budget. A failed write removes the temp file. Writing an
+// already-present fingerprint replaces the file with identical bytes —
+// harmless, and what concurrent savers do to each other. The file write
+// takes no lock: temp names are unique and the rename is atomic, and
+// holding st.mu across disk I/O would stall every concurrent Load's cache
+// check behind it. Only the GC pass is serialized.
 func (st *Store) Save(s *Snapshot) error {
 	if err := st.fire(FaultSiteSave); err != nil {
-		return err
-	}
-	buf, err := s.Encode()
-	if err != nil {
 		return err
 	}
 	final := st.path(s.FP)
@@ -242,7 +248,7 @@ func (st *Store) Save(s *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(buf)
+	_, werr := s.WriteTo(tmp)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
